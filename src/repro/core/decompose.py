@@ -133,10 +133,11 @@ COLGEN_EXHAUSTIVE_SURVIVORS = 512
 _PRICE_RTOL = 1e-7
 
 #: the native B&B's per-node dominance reductions are quadratic in
-#: matrix size, so past this many columns the LP-relaxation ILP engine
-#: is orders of magnitude faster on covering instances (their root
-#: relaxations are usually integral) — and equally exact.  Engine
-#: choice only; the optimum is the same either way.
+#: matrix size, so past this many columns the HiGHS MIP engine
+#: (:func:`~repro.covering.ilp.solve_ilp`) is orders of magnitude
+#: faster on covering instances (their root relaxations are usually
+#: integral) — and equally exact.  Engine choice only; the optimum is
+#: the same either way.
 ILP_CUTOVER_COLUMNS = 192
 
 

@@ -1,4 +1,4 @@
-"""Generic 0-1 ILP branch-and-bound over the covering formulation.
+"""Exact 0-1 ILP over the covering formulation.
 
 The paper observes that the synthesis optimization "can be seen as a
 special case of 0-1 integer linear programming".  This module makes
@@ -8,22 +8,27 @@ that concrete: it states the covering instance as
     subject to  A x >= 1   (one inequality per row)
                 x ∈ {0,1}^n
 
-and solves it by LP-relaxation branch-and-bound (scipy ``linprog`` with
-the HiGHS backend at every node, branching on the most fractional
-variable).  It is intentionally *library-agnostic* of the covering
-reductions — it serves as an independently-implemented cross-check of
-:mod:`repro.covering.bnb` and as the "plain ILP" arm of the UCP
-ablation benchmark.
+and hands it whole to the HiGHS MIP solver (:func:`scipy.optimize.milp`)
+with ``mip_rel_gap=0``, so a completed solve is proven optimal to
+within HiGHS's absolute objective tolerance, which the weight scaling
+in :func:`solve_ilp` makes ~2e-12 of the largest column weight.  It is
+intentionally *library-agnostic* of the covering reductions — it serves
+as an independently-implemented cross-check of
+:mod:`repro.covering.bnb`, as the engine for large decompose clusters,
+and as the "plain ILP" arm of the UCP ablation benchmark.
+
+The matrix is built in declaration order (rows as ``problem.rows``,
+columns as ``problem.columns``, row indices sorted within a column) and
+HiGHS is deterministic on a given matrix, so among several optima of
+equal weight the selection is a function of the problem alone.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, sparse
 
 from ..core.exceptions import BudgetExceeded, CoveringError
 from ..obs import current_tracer
@@ -32,27 +37,6 @@ from ..runtime.checkpoint import CheckpointJournal
 from .matrix import CoverSolution, CoveringProblem
 
 __all__ = ["solve_ilp"]
-
-_INT_TOL = 1e-6
-
-
-@dataclass
-class _Node:
-    fixed_zero: frozenset
-    fixed_one: frozenset
-
-
-def _lp(problem_arrays, fixed_zero: frozenset, fixed_one: frozenset):
-    weights, a_ub, b_ub, n = problem_arrays
-    bounds: List[Tuple[float, float]] = []
-    for j in range(n):
-        if j in fixed_zero:
-            bounds.append((0.0, 0.0))
-        elif j in fixed_one:
-            bounds.append((1.0, 1.0))
-        else:
-            bounds.append((0.0, 1.0))
-    return optimize.linprog(weights, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
 
 
 def solve_ilp(
@@ -63,13 +47,15 @@ def solve_ilp(
 ) -> CoverSolution:
     """Solve the covering instance as a 0-1 ILP; exact.
 
-    Raises :class:`CoveringError` on infeasibility.  Node or ``budget``
-    (deadline) exhaustion raises :class:`BudgetExceeded` with the best
-    integral incumbent found so far (if any) attached as ``.partial``.
+    Raises :class:`CoveringError` on infeasibility.  When ``max_nodes``,
+    the budget's node cap or its deadline stops HiGHS early,
+    :class:`BudgetExceeded` carries the best feasible cover known (if
+    any) as ``.partial``.  ``stats`` holds HiGHS's ``nodes``, its dual
+    bound as ``lower_bound`` and its relative ``gap``.
 
-    ``journal`` records every strict integral improvement durably and
-    seeds a resumed solve from the best recorded incumbent, mirroring
-    :func:`repro.covering.bnb.solve_cover`.
+    ``journal`` seeds the solve from the best recorded incumbent and
+    records the cover HiGHS returns when it strictly improves on it,
+    mirroring :func:`repro.covering.bnb.solve_cover`.
     """
     problem.validate_coverable()
     tracker = as_tracker(budget)
@@ -81,108 +67,95 @@ def solve_ilp(
         raise CoveringError("no columns")
     names = [c.name for c in cols]
     n = len(cols)
-    rows = list(problem.rows)
-    row_index = {r: i for i, r in enumerate(rows)}
-
+    row_index = {r: i for i, r in enumerate(problem.rows)}
     weights = np.array([c.weight for c in cols], dtype=float)
-    a_ub = np.zeros((len(rows), n))
-    for j, c in enumerate(cols):
-        for r in c.rows:
-            a_ub[row_index[r], j] = -1.0
-    b_ub = -np.ones(len(rows))
-    arrays = (weights, a_ub, b_ub, n)
+    indices = [sorted(row_index[r] for r in c.rows) for c in cols]
+    indptr = np.cumsum([0] + [len(ix) for ix in indices])
+    a = sparse.csc_array(
+        (np.ones(indptr[-1]), np.concatenate(indices), indptr), shape=(problem.n_rows, n)
+    )
+    # HiGHS ends a MIP within an absolute 1e-6 of the optimum.  Scaling
+    # by a power of two (exact in floating point) so the largest weight
+    # lies in [2**19, 2**20) makes that tolerance ~2e-12 of it.
+    peak = float(weights.max())
+    scale = 2.0 ** (20 - np.frexp(peak)[1]) if peak > 0 else 1.0
 
-    best_weight = float("inf")
-    best_x: Optional[np.ndarray] = None
+    best: Optional[CoverSolution] = None
     if journal is not None and journal.best_incumbent is not None:
-        # Seed from the journal of a killed run: strict-improvement
-        # updates below guarantee the served solution matches an
+        # Seed from the journal of a killed run: the strict-improvement
+        # test below guarantees the served solution matches an
         # uninterrupted run's despite the warmer start.
         weight, columns, _stage = journal.best_incumbent
-        index_of = {name: j for j, name in enumerate(names)}
-        if all(c in index_of for c in columns):
-            seeded = np.zeros(n, dtype=int)
-            for c in columns:
-                seeded[index_of[c]] = 1
-            try:
-                problem.check_solution(
-                    CoverSolution(column_names=columns, weight=weight, optimal=False)
-                )
-            except CoveringError:
-                pass  # stale record: ignore, solve cold
-            else:
-                best_weight = float(weight)
-                best_x = seeded
-    stack: List[_Node] = [_Node(frozenset(), frozenset())]
+        seeded = CoverSolution(column_names=tuple(sorted(columns)), weight=weight, optimal=False)
+        try:
+            problem.check_solution(seeded)
+        except CoveringError:
+            pass  # stale record: ignore, solve cold
+        else:
+            best = seeded
+
     nodes = 0
-
-    def _partial() -> Optional[CoverSolution]:
-        if best_x is None:
-            return None
-        chosen = tuple(sorted(names[j] for j in range(n) if best_x[j] == 1))
-        return CoverSolution(
-            column_names=chosen, weight=best_weight, optimal=False, stats={"nodes": nodes}
-        )
-
-    lp_solves = 0
-    lp_time_s = 0.0
-    with tracer.span("covering.ilp", rows=len(rows), columns=n) as ilp_span:
+    with tracer.span("covering.ilp", rows=problem.n_rows, columns=n) as ilp_span:
         tracker.checkpoint("ilp.start")
         try:
-            while stack:
-                node = stack.pop()
-                nodes += 1
-                if nodes > max_nodes:
-                    raise BudgetExceeded(
-                        f"ILP branch-and-bound exceeded max_nodes={max_nodes}",
-                        reason="nodes",
-                        partial=_partial(),
-                    )
-                try:
-                    tracker.charge_node("ilp.node")
-                except BudgetExceeded as exc:
-                    raise BudgetExceeded(
-                        str(exc), reason=exc.reason, partial=exc.partial or _partial()
-                    ) from exc
-                lp_start = time.perf_counter()
-                res = _lp(arrays, node.fixed_zero, node.fixed_one)
-                lp_time_s += time.perf_counter() - lp_start
-                lp_solves += 1
-                if not res.success:
-                    continue  # infeasible subproblem
-                if res.fun >= best_weight - 1e-12:
-                    continue
-                x = np.asarray(res.x)
-                frac = np.abs(x - np.round(x))
-                j = int(np.argmax(frac))
-                if frac[j] <= _INT_TOL:
-                    xi = np.round(x).astype(int)
-                    weight = float(weights @ xi)
-                    if weight < best_weight:
-                        best_weight = weight
-                        best_x = xi
-                        if journal is not None:
-                            journal.record_incumbent(
-                                "ilp",
-                                tuple(names[j] for j in range(n) if xi[j] == 1),
-                                weight,
-                            )
-                    continue
-                stack.append(_Node(node.fixed_zero | {j}, node.fixed_one))
-                stack.append(_Node(node.fixed_zero, node.fixed_one | {j}))
+            try:
+                tracker.charge_node("ilp.node")  # the MIP's root node
+            except BudgetExceeded as exc:
+                raise BudgetExceeded(
+                    str(exc), reason=exc.reason, partial=exc.partial or best
+                ) from exc
+            left = tracker.nodes_left()
+            options = {
+                "mip_rel_gap": 0.0,
+                "node_limit": max_nodes if left is None else min(max_nodes, 1 + left),
+            }
+            remaining = tracker.remaining_s()
+            if remaining != float("inf"):
+                options["time_limit"] = max(0.0, remaining)
+            res = optimize.milp(
+                weights * scale,
+                integrality=np.ones(n),
+                bounds=optimize.Bounds(0, 1),
+                constraints=optimize.LinearConstraint(a, lb=1),
+                options=options,
+            )
+            nodes = int(res.mip_node_count or 0)
+            tracker.book_nodes(max(0, nodes - 1))
         finally:
-            # Deterministic counts; LP wall time is process/load dependent
-            # and therefore a *local* counter.
             tracer.count("covering.ilp.nodes", nodes)
-            tracer.count("covering.ilp.lp_solves", lp_solves)
-            tracer.count_local("covering.ilp.lp_time_s", lp_time_s)
             ilp_span.set("nodes", nodes)
 
-        if best_x is None:
-            raise CoveringError("ILP found no integral solution")
-        selection = tuple(sorted(names[j] for j in range(n) if best_x[j] == 1))
-        solution = CoverSolution(
-            column_names=selection, weight=best_weight, optimal=True, stats={"nodes": nodes}
+    if res.status == 2:
+        raise CoveringError("ILP found no integral solution")
+    if res.x is not None:
+        xi = np.round(res.x).astype(int)
+        weight = float(weights @ xi)
+        if best is None or weight < best.weight:
+            best = CoverSolution(
+                column_names=tuple(sorted(names[j] for j in range(n) if xi[j] == 1)),
+                weight=weight,
+                optimal=False,
+            )
+            if journal is not None:
+                journal.record_incumbent("ilp", best.column_names, weight)
+    if best is not None:
+        dual = res.mip_dual_bound
+        lower = min(dual / scale if dual is not None else -np.inf, best.weight)
+        if res.status == 0:
+            gap = float(res.mip_gap)
+        else:
+            gap = (best.weight - lower) / best.weight if best.weight > 0 else 0.0
+        best = CoverSolution(
+            column_names=best.column_names,
+            weight=best.weight,
+            optimal=res.status == 0,
+            stats={"nodes": nodes, "lower_bound": float(lower), "gap": gap},
         )
-        problem.check_solution(solution)
-        return solution
+        problem.check_solution(best)
+    if res.status != 0:
+        raise BudgetExceeded(
+            f"HiGHS MIP stopped early: {res.message}",
+            reason="deadline" if res.status == 1 else "nodes",
+            partial=best,
+        )
+    return best

@@ -143,6 +143,17 @@ class BudgetTracker:
             )
         self.checkpoint(site)
 
+    def nodes_left(self) -> Optional[int]:
+        """Nodes the global budget still allows (None = unlimited)."""
+        cap = self.root.budget.max_nodes
+        return None if cap is None else max(0, cap - self.nodes_used)
+
+    def book_nodes(self, count: int) -> None:
+        """Add ``count`` nodes that a library solver expanded under a
+        node limit taken from :meth:`nodes_left`: booked after the
+        fact, with no checkpoint."""
+        self.root._nodes += count
+
     # ------------------------------------------------------------------
     def stage(
         self, share: float = 1.0, cap_s: Optional[float] = None
