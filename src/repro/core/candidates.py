@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import os
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -50,7 +51,13 @@ from .constraint_graph import ConstraintGraph
 from .exceptions import BudgetExceeded, InfeasibleError
 from .library import CommunicationLibrary
 from .matrices import ArcMatrices, IncrementalArcMatrices, compute_matrices
-from .merging import MergingPlan, build_merging_plan, build_merging_plans_batch
+from .merging import (
+    MergeCostBound,
+    MergingPlan,
+    build_merging_plan,
+    build_merging_plans_batch,
+    provably_dominated,
+)
 from .mixed_segmentation import MixedChainPlan, best_mixed_segmentation
 from .point_to_point import PointToPointPlan, best_point_to_point
 from .pruning import (
@@ -87,15 +94,12 @@ MAX_ENUMERATED_SUBSETS = 2_000_000
 #: the budget-checkpoint granularity of the pruning pass.
 _PRUNE_CHUNK = 8192
 
-#: surviving subsets per planning task — small enough to keep every
-#: pool worker busy near a deadline and to bound what a crash or
-#: budget death can lose, large enough to amortize pickling *and* to
-#: give the lockstep Weiszfeld batch (:mod:`repro.kernels`) a wide
-#: front of concurrent placement problems to fuse.  Width matters more
-#: than it looks: the alternating-descent active set thins out round by
-#: round, and a wide chunk keeps late rounds above the lockstep
-#: break-even width instead of draining into the scalar straggler path.
-_PLAN_CHUNK = 512
+#: planning-chunk width bounds (see :func:`_plan_chunk_size`).
+_PLAN_CHUNK_MIN = 32
+_PLAN_CHUNK_MAX = 512
+#: an arity's groups are cut into about this many chunks, so a pool
+#: has work for every worker instead of one or two wide chunks.
+_PLAN_CHUNKS_PER_ARITY = 8
 
 _log = logging.getLogger(__name__)
 
@@ -174,6 +178,12 @@ class GenerationStats:
     #: planning chunks replayed from a checkpoint journal instead of
     #: re-solved (resume runs only).
     chunks_replayed: int = 0
+    #: pruning survivors never planned because a closed-form cost bound
+    #: proves them dominated by their member singletons
+    #: (:class:`~repro.core.merging.MergeCostBound`; ``skip_dominated``
+    #: and ``drop_dominated`` runs only).  ``pruning_survivors_by_k``
+    #: still counts them.
+    pruned_cost_bound: int = 0
     #: worker processes actually used (1 = in-process serial).  Requests
     #: beyond the machine's core count are clamped — extra pool workers
     #: on an oversubscribed machine only add dispatch overhead — so this
@@ -219,6 +229,7 @@ def generate_candidates(
     budget: Union[Budget, BudgetTracker, None] = None,
     jobs: Optional[int] = None,
     journal: Optional[CheckpointJournal] = None,
+    skip_dominated: bool = False,
 ) -> CandidateSet:
     """Run Figure 2's candidate generation on ``graph`` over ``library``.
 
@@ -227,6 +238,12 @@ def generate_candidates(
     point-to-point costs — sound for optimality (the singletons are
     always available) and useful to shrink the covering instance, but
     off by default so reported candidate counts match the paper's.
+    ``skip_dominated`` (implied by ``drop_dominated``) skips, before
+    placement, every pruning survivor whose
+    :class:`~repro.core.merging.MergeCostBound` exceeds that sum by a
+    relative 1e-9: such a merging is never planned, never counted in
+    ``survivors_by_k``, and counted in ``stats.pruned_cost_bound``
+    instead; the mergings that are planned are all kept.
     ``heterogeneous`` additionally evaluates mixed-link-type chains
     (:mod:`repro.core.mixed_segmentation`) for each arc's singleton
     candidate and keeps the cheaper plan.  ``max_merge_hops`` drops
@@ -296,7 +313,6 @@ def generate_candidates(
     ) as gen_span:
         tracer.gauge("candidates.effective_jobs", float(jobs or 1))
         p2p_candidates: List[Candidate] = []
-        p2p_cost: Dict[str, float] = {}
         with tracer.span("candidates.p2p", arcs=n):
             for arc in arcs:
                 tracker.checkpoint("candidates.p2p")
@@ -310,14 +326,26 @@ def generate_candidates(
                             plan = mixed
                     except InfeasibleError:
                         pass  # e.g. bandwidth needs duplication — keep the homogeneous plan
-                p2p_cost[arc.name] = plan.cost
                 p2p_candidates.append(
                     Candidate(arc_names=(arc.name,), cost=plan.cost, plan=plan)
                 )
 
+        if hop_penalty < 0:
+            raise ValueError(f"hop_penalty must be nonnegative, got {hop_penalty}")
+        # the singleton column weights the cover will see
+        weights = {
+            c.arc_names[0]: c.cost + hop_penalty * getattr(c.plan, "max_hops", 0)
+            for c in p2p_candidates
+        }
+
         mergings: List[Candidate] = []
         if n >= 2:
             matrices = IncrementalArcMatrices(graph)
+            dominated = (
+                _dominance_test(graph, library, weights, hop_penalty)
+                if drop_dominated or skip_dominated
+                else None
+            )
             pool: Optional[_PoolManager] = None
             try:
                 if jobs is not None and jobs > 1:
@@ -329,7 +357,7 @@ def generate_candidates(
                     )
                 mergings = _enumerate_mergings(
                     graph, library, matrices, pruning, max_arity, stats, polish_placement,
-                    tracker=tracker, pool=pool, journal=journal,
+                    tracker=tracker, pool=pool, journal=journal, dominated=dominated,
                 )
             finally:
                 if pool is not None:
@@ -342,14 +370,8 @@ def generate_candidates(
             tracer.count("candidates.pruned.hops", stats.pruned_hops)
 
         if hop_penalty:
-            if hop_penalty < 0:
-                raise ValueError(f"hop_penalty must be nonnegative, got {hop_penalty}")
             p2p_candidates = [
-                Candidate(
-                    arc_names=c.arc_names,
-                    cost=c.cost + hop_penalty * getattr(c.plan, "max_hops", 0),
-                    plan=c.plan,
-                )
+                Candidate(arc_names=c.arc_names, cost=weights[c.arc_names[0]], plan=c.plan)
                 for c in p2p_candidates
             ]
             mergings = [
@@ -360,13 +382,12 @@ def generate_candidates(
                 )
                 for c in mergings
             ]
-            p2p_cost = {c.arc_names[0]: c.cost for c in p2p_candidates}
 
         if drop_dominated:
             mergings = [
                 c
                 for c in mergings
-                if c.cost < sum(p2p_cost[a] for a in c.arc_names) - 1e-12
+                if c.cost < sum(weights[a] for a in c.arc_names) - 1e-12
             ]
 
         gen_span.set("point_to_point", len(p2p_candidates))
@@ -591,10 +612,40 @@ def _absorb_plans(
         candidates.append(Candidate(arc_names=plan.arc_names, cost=plan.cost, plan=plan))
 
 
+def _plan_chunk_size(n_groups: int) -> int:
+    """Planning-chunk width for an arity of ``n_groups`` groups.
+
+    A function of the group count alone, so serial and pool runs cut
+    the same chunks, a journal written under ``jobs=1`` replays under
+    ``jobs=N`` and the other way round, and the per-chunk placement
+    counters add up to the same totals.  Aiming at
+    :data:`_PLAN_CHUNKS_PER_ARITY` chunks keeps every pool worker busy
+    (a 50-arc cluster used to give a 2-worker pool one or two 512-wide
+    chunks); the floor amortizes pickling and dispatch.
+
+    Width does cost the lockstep Weiszfeld batch something: each chunk
+    ends in a tail of fewer than eight problems that the scalar loop
+    finishes.  Measured on the three 50-arc decompose-bench islands
+    (2-core x86-64, numpy kernels, cost-bound skip on):
+    ``placement.weiszfeld.iterations`` is the same at every width,
+    ``placement.stragglers`` grows from 1714 rows at width 512 to 6422
+    at this sizing (66 wide), and the scalar tail's CPU time from 1.4 s
+    to 2.1 s of about 5 s; the serial total moves less than the
+    run-to-run noise.  On a 2-worker pool the balance is worth more:
+    decompose-cold ran 0.31-0.34 instances/s with 8 chunks per arity
+    against 0.27-0.33 with 2.
+    """
+    return max(
+        _PLAN_CHUNK_MIN,
+        min(_PLAN_CHUNK_MAX, math.ceil(n_groups / _PLAN_CHUNKS_PER_ARITY)),
+    )
+
+
 def _chunked(groups: Sequence[Tuple[str, ...]]) -> List[List[Tuple[str, ...]]]:
     """The canonical planning-chunk boundaries (shared by the serial
     path, the pool dispatch, and the checkpoint journal keys)."""
-    return [list(groups[i:i + _PLAN_CHUNK]) for i in range(0, len(groups), _PLAN_CHUNK)]
+    size = _plan_chunk_size(len(groups))
+    return [list(groups[i:i + size]) for i in range(0, len(groups), size)]
 
 
 def _plan_arity_serial(
@@ -611,7 +662,7 @@ def _plan_arity_serial(
 ) -> bool:
     """Cost one arity's survivors in-process; False ⇒ budget truncated.
 
-    Work proceeds in the same ``_PLAN_CHUNK`` boundaries the parallel
+    Work proceeds in the same :func:`_chunked` boundaries the parallel
     path dispatches, so journal records written serially replay under
     ``jobs=N`` and vice versa.  Replayed chunks still feed the
     plan-outcome counters (the totals stay deterministic across
@@ -768,6 +819,26 @@ def _plan_arity_parallel(
     return True
 
 
+def _dominance_test(
+    graph: ConstraintGraph,
+    library: CommunicationLibrary,
+    weights: Dict[str, float],
+    hop_penalty: float,
+) -> Callable[[Sequence[str], np.ndarray], np.ndarray]:
+    """``dominated(names, subsets)``: which rows of an ``(m, k)`` index
+    array over ``names`` a :class:`~repro.core.merging.MergeCostBound`
+    proves costlier than their members' singleton ``weights``."""
+    bound = MergeCostBound(graph.arcs, library, graph.norm, hop_penalty=hop_penalty)
+    position = {a.name: i for i, a in enumerate(graph.arcs)}
+    singleton = np.array([weights[a.name] for a in graph.arcs])
+
+    def dominated(names: Sequence[str], subsets: np.ndarray) -> np.ndarray:
+        rows = np.array([position[nm] for nm in names])[subsets]
+        return provably_dominated(bound.lower_bounds(rows), singleton[rows].sum(axis=1))
+
+    return dominated
+
+
 def _enumerate_mergings(
     graph: ConstraintGraph,
     library: CommunicationLibrary,
@@ -779,13 +850,18 @@ def _enumerate_mergings(
     tracker: Optional[BudgetTracker] = None,
     pool: Optional[_PoolManager] = None,
     journal: Optional[CheckpointJournal] = None,
+    dominated: Optional[Callable[[Sequence[str], np.ndarray], np.ndarray]] = None,
 ) -> List[Candidate]:
     """The main loop of Figure 2: increasing K, shrinking active set.
 
     Each arity runs a vectorized pruning pass (:func:`_prune_arity`)
     followed by the per-survivor placement solves — in-process, or
-    fanned out over ``pool`` when one is given.  Theorem 3.1 retirement
-    physically removes an arc's Γ/Δ row and column
+    fanned out over ``pool`` when one is given.  ``dominated`` (see
+    :func:`_dominance_test`) removes provably dominated survivors
+    before they are chunked, so they never reach a worker, the
+    persistent cache or the journal.  Theorem 3.1 retirement follows
+    the pruning survivors, skipped or not: it physically removes an
+    arc's Γ/Δ row and column
     (:meth:`~repro.core.matrices.IncrementalArcMatrices.remove_arcs` —
     exact entry copies, no recomputation), so later arities gather from
     ever-smaller matrices.  On :class:`BudgetExceeded` from a
@@ -822,15 +898,23 @@ def _enumerate_mergings(
             if not survivors_k:
                 break
 
-            with tracer.span("candidates.plan", k=k, survivors=len(survivors_k)):
+            to_plan = survivors_k
+            if dominated is not None:
+                skip = dominated(names, np.asarray(survivors_k, dtype=int))
+                skipped = int(np.count_nonzero(skip))
+                stats.pruned_cost_bound += skipped
+                tracer.count("candidates.pruned.cost_bound", skipped)
+                to_plan = [s for s, out in zip(survivors_k, skip.tolist()) if not out]
+
+            with tracer.span("candidates.plan", k=k, survivors=len(to_plan)):
                 if pool is not None:
                     completed = _plan_arity_parallel(
-                        pool, graph, library, names, survivors_k, k, stats,
+                        pool, graph, library, names, to_plan, k, stats,
                         candidates, tracker, polish_placement, journal=journal,
                     )
                 else:
                     completed = _plan_arity_serial(
-                        graph, library, names, survivors_k, k, stats, candidates,
+                        graph, library, names, to_plan, k, stats, candidates,
                         tracker, polish_placement, journal=journal,
                     )
             arity_span.set("generated", stats.survivors_by_k[k])

@@ -39,7 +39,13 @@ bandwidth):
     start as the connected components of the pair-mergeability graph
     and are coarsened (violating clusters merged) until the
     certificate holds — in the worst case collapsing to one cluster,
-    i.e. the exact pipeline.
+    i.e. the exact pipeline.  Clusters generate their candidates with
+    ``skip_dominated`` on: a merging costlier than its member
+    singletons can never be needed by an optimal cover, so it is not
+    placed when a closed-form bound proves it
+    (:class:`~repro.core.merging.MergeCostBound`).  The cluster
+    universes are the exact pipeline's minus such columns, and the
+    reported candidate counts exclude them.
 
     ``max_cluster_arcs`` additionally *force-splits* oversized
     clusters along spatial median cuts.  Forced cuts break the
@@ -56,10 +62,13 @@ bandwidth):
     master LP with the point-to-point columns, read row duals ``y``
     off :func:`scipy.optimize.linprog`, and plan only survivors whose
     dual payoff ``Σ_{a∈S} y_a`` exceeds a *sound lower bound* on their
-    plan cost (cheapest mux + demux, plus the best stage cost of the
-    longest member arc over a third of its length — any merged route
-    for that arc splits into feeder/trunk/distributor whose lengths
-    sum to at least ``d(a)``).  When pricing converges the duals are
+    plan cost (:class:`~repro.core.merging.MergeCostBound`, the same
+    bound the decompose clusters skip with; one of its terms is the
+    best stage cost of the longest member arc over a third of its
+    length — any merged route for that arc splits into
+    feeder/trunk/distributor whose lengths sum to at least ``d(a)``).
+    Survivors whose bound exceeds their singletons' weights are never
+    planned.  When pricing converges the duals are
     feasible for the covering LP over the *full* candidate universe,
     so ``Σ_r y_r`` certifies the optimality gap of the final integral
     cover; when every survivor has been planned or dominated away the
@@ -96,7 +105,7 @@ from .constraint_graph import ConstraintGraph
 from .exceptions import BudgetExceeded, InfeasibleError
 from .library import CommunicationLibrary, NodeKind
 from .matrices import ArcMatrices, IncrementalArcMatrices, compute_matrices
-from .merging import build_merging_plan, stage_cost
+from .merging import MergeCostBound, build_merging_plan, provably_dominated
 from .pruning import PRUNE_TOL
 from .synthesis import (
     SynthesisResult,
@@ -361,6 +370,7 @@ def _merge_stats(master: GenerationStats, part: GenerationStats) -> None:
     master.retired_at_k.update(part.retired_at_k)
     master.worker_recoveries += part.worker_recoveries
     master.chunks_replayed += part.chunks_replayed
+    master.pruned_cost_bound += part.pruned_cost_bound
     master.effective_jobs = max(master.effective_jobs, part.effective_jobs)
 
 
@@ -492,9 +502,9 @@ def synthesize_decomposed(
     """The ``strategy="decompose"`` pipeline (see the module docstring).
 
     Per-cluster candidate generation reuses :func:`generate_candidates`
-    wholesale — including the self-healing worker pool (clusters of at
-    least :data:`MIN_CLUSTER_ARCS_FOR_POOL` arcs when ``options.jobs``
-    asks for one), budget checkpoints, and journal chunk replay (chunk
+    wholesale, with ``skip_dominated`` on — including the self-healing
+    worker pool (clusters of at least :data:`MIN_CLUSTER_ARCS_FOR_POOL`
+    arcs when ``options.jobs`` asks for one), budget checkpoints, and journal chunk replay (chunk
     keys carry a group digest, so per-cluster records never collide).
     The per-component covering solves run under the same budget; on
     exhaustion each remaining component degrades to its best incumbent
@@ -551,6 +561,7 @@ def synthesize_decomposed(
                         budget=tracker,
                         jobs=cluster_jobs,
                         journal=journal,
+                        skip_dominated=True,
                     )
                 except BudgetExceeded:
                     # The budget died inside this cluster's (mandatory)
@@ -869,22 +880,20 @@ def synthesize_colgen(
         tracer.gauge("colgen.survivors", float(len(survivors)))
 
         p2p_w = {a.name: c.cost for a, c in zip(arcs, base.point_to_point)}
-        mux = library.cheapest_node(NodeKind.MUX)
-        demux = library.cheapest_node(NodeKind.DEMUX)
-        mergeable_at_all = mux is not None and demux is not None
-        node_floor = (mux.cost if mux else 0.0) + (demux.cost if demux else 0.0)
-        third_costs = np.array(
-            [stage_cost(a.bandwidth, library)(a.distance / 3.0) for a in arcs]
+        mergeable_at_all = (
+            library.cheapest_node(NodeKind.MUX) is not None
+            and library.cheapest_node(NodeKind.DEMUX) is not None
         )
 
         names = tuple(a.name for a in arcs)
         remaining: List[Tuple[Tuple[int, ...], float]] = []
-        for subset in survivors:
-            lb = merging_cost_lower_bound(subset, third_costs, node_floor)
-            if not mergeable_at_all:
-                stats.infeasible_plans += 1
-                continue
-            if lb >= sum(p2p_w[names[i]] for i in subset) - 1e-12:
+        if not mergeable_at_all:
+            stats.infeasible_plans += len(survivors)
+            survivors = []
+        bound = MergeCostBound(arcs, library, graph.norm, hop_penalty=options.hop_penalty)
+        weights = np.array([p2p_w[nm] for nm in names])
+        for subset, lb in zip(survivors, _lower_bounds(bound, survivors)):
+            if provably_dominated(lb, weights[list(subset)].sum()):
                 # no plan can beat the member singletons: excluding the
                 # column provably preserves the optimal cover weight
                 decomposition.columns_skipped_dominated += 1
@@ -1017,6 +1026,19 @@ def synthesize_colgen(
             graph, library, options, candidates, covering, cover, report,
             decomposition, journal, replayed is not None, start,
         )
+
+
+def _lower_bounds(bound: MergeCostBound, subsets: Sequence[Tuple[int, ...]]) -> List[float]:
+    """``bound`` over subsets of mixed arity, in input order."""
+    by_k: Dict[int, List[int]] = {}
+    for pos, subset in enumerate(subsets):
+        by_k.setdefault(len(subset), []).append(pos)
+    out = [0.0] * len(subsets)
+    for positions in by_k.values():
+        lbs = bound.lower_bounds(np.array([subsets[p] for p in positions]))
+        for pos, lb in zip(positions, lbs.tolist()):
+            out[pos] = lb
+    return out
 
 
 def _colgen_columns(

@@ -20,9 +20,12 @@ descriptions) and can materialize them into an implementation graph.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .cache import current_persistent_cache
 from .constraint_graph import Arc, ConstraintGraph
@@ -41,12 +44,15 @@ from .placement import (
 from .point_to_point import (
     PointToPointPlan,
     best_point_to_point,
+    linear_minorant_slope,
     make_cost_oracle,
     materialize_plan,
 )
 
 __all__ = [
     "MergingPlan",
+    "MergeCostBound",
+    "provably_dominated",
     "stage_cost",
     "build_merging_plan",
     "build_merging_plans_batch",
@@ -253,6 +259,145 @@ def build_merging_plan(
     if store is not None:
         store.put("merge", library, cache_key, plan)
     return plan
+
+
+#: a merging is skipped as dominated only when its cost bound exceeds
+#: the summed singleton weights by this relative margin: a merging that
+#: could *tie* its singletons is still planned, so the set of optimal
+#: covers never changes, and rounding in the bound cannot matter.
+DOMINANCE_RTOL = 1e-9
+
+_SQRT3 = math.sqrt(3.0)
+
+
+def _fermat3(ax, ay, bx, by, cx, cy):
+    """Length of the Euclidean Fermat–Torricelli tree of three points
+    (elementwise over arrays): ``min_s |As| + |Bs| + |Cs|``."""
+    a2 = (bx - cx) ** 2 + (by - cy) ** 2
+    b2 = (ax - cx) ** 2 + (ay - cy) ** 2
+    c2 = (ax - bx) ** 2 + (ay - by) ** 2
+    a, b, c = np.sqrt(a2), np.sqrt(b2), np.sqrt(c2)
+    # every angle below 120°: L² = (a² + b² + c²)/2 + 2√3·area
+    cross = np.abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+    out = np.sqrt((a2 + b2 + c2) / 2.0 + _SQRT3 * cross)
+    # an angle of 120° or more: the tree is that vertex's two sides
+    out = np.where(a2 >= b2 + c2 + b * c, b + c, out)
+    out = np.where(b2 >= a2 + c2 + a * c, a + c, out)
+    return np.where(c2 >= a2 + b2 + a * b, a + b, out)
+
+
+def _apexes(px, py, qx, qy):
+    """The two apexes of the equilateral triangles on segment pq."""
+    mx, my = (px + qx) / 2.0, (py + qy) / 2.0
+    nx, ny = -(qy - py) * (_SQRT3 / 2.0), (qx - px) * (_SQRT3 / 2.0)
+    return ((mx + nx, my + ny), (mx - nx, my - ny))
+
+
+def _vector_metric(norm: Norm):
+    """``dist(dx, dy)`` over arrays for the built-in norms, else None."""
+    if norm.name == "euclidean":
+        return np.hypot
+    if norm.name == "manhattan":
+        return lambda dx, dy: np.abs(dx) + np.abs(dy)
+    if norm.name == "chebyshev":
+        return lambda dx, dy: np.maximum(np.abs(dx), np.abs(dy))
+    return None
+
+
+class MergeCostBound:
+    """A closed-form lower bound on the cost of any merging plan.
+
+    Built once over an arc list; :meth:`lower_bounds` takes an ``(m, k)``
+    array of member indices into that list and returns one bound per
+    row, vectorised over rows.  A merging of arcs ``u_i → v_i`` through
+    mux ``s`` and demux ``t`` pays its mux/demux nodes plus stages whose
+    cost is at least ``m · length``, where ``m`` is the smallest
+    :func:`~repro.core.point_to_point.linear_minorant_slope` among the
+    members (the trunk's is no smaller).  So the plan costs at least
+    ``nodes + m · min G``, ``G(s, t) = Σ|u_i s| + |s t| + Σ|t v_i|``,
+    and for every member pair ``(i, j)``, ``min G`` is at least:
+
+    - ``|u_i u_j| + |v_i v_j|`` (the triangle inequality on each side);
+    - ``max(d_i, d_j)`` (each member's path runs ``u → s → t → v``);
+    - Euclidean only: ``F3(u_i, u_j, E_v)`` and ``F3(E_u, v_i, v_j)``
+      over both apexes ``E`` of the equilateral triangle on ``v_i v_j``
+      (resp. ``u_i u_j``), ``F3`` the 3-point Fermat–Torricelli length.
+      By Ptolemy's inequality ``|t v_i| + |t v_j| >= |t E_v|`` for any
+      ``t``, so the sink side of ``G`` is at least ``|t E_v|`` and what
+      is left is a 3-point tree.  (This also covers the Ptolemy bound
+      ``|E_u E_v|``, which ``F3(u_i, u_j, E_v)`` is never below.)
+
+    The other term is colgen's original one: the longest member's stage
+    cost over a third of its length (some stage of its path is at least
+    that long, and stage costs grow with bandwidth and length —
+    Assumption 2.1).  With ``hop_penalty``, every merged path crosses a
+    mux and a demux, so the penalized column weight is at least the
+    bound plus ``2·hop_penalty``.  Without a mux or demux no plan is
+    feasible and the bound is 0 (never skips).
+    """
+
+    def __init__(
+        self,
+        arcs: Sequence[Arc],
+        library: CommunicationLibrary,
+        norm: Norm,
+        hop_penalty: float = 0.0,
+    ) -> None:
+        self._mux = library.cheapest_node(NodeKind.MUX)
+        self._demux = library.cheapest_node(NodeKind.DEMUX)
+        self._metric = _vector_metric(norm)
+        self._euclidean = norm.name == "euclidean"
+        self._hop_penalty = hop_penalty
+        self._ux = np.array([a.source.position.x for a in arcs])
+        self._uy = np.array([a.source.position.y for a in arcs])
+        self._vx = np.array([a.target.position.x for a in arcs])
+        self._vy = np.array([a.target.position.y for a in arcs])
+        self._d = np.array([a.distance for a in arcs])
+        self._slope = np.array([linear_minorant_slope(a.bandwidth, library) for a in arcs])
+        self._third = np.array(
+            [stage_cost(a.bandwidth, library)(a.distance / 3.0) for a in arcs]
+        )
+
+    def lower_bounds(self, groups: np.ndarray) -> np.ndarray:
+        """Bounds for an ``(m, k)`` integer array of member indices."""
+        groups = np.asarray(groups, dtype=int)
+        m, k = groups.shape
+        if self._mux is None or self._demux is None or m == 0:
+            return np.zeros(m)
+        nodes = (
+            tree_node_count(k, self._mux.max_degree) * self._mux.cost
+            + tree_node_count(k, self._demux.max_degree) * self._demux.cost
+        )
+        ux, uy = self._ux[groups], self._uy[groups]
+        vx, vy = self._vx[groups], self._vy[groups]
+        length = self._d[groups].max(axis=1)
+        for i, j in itertools.combinations(range(k), 2):
+            if self._metric is not None:
+                length = np.maximum(
+                    length,
+                    self._metric(ux[:, i] - ux[:, j], uy[:, i] - uy[:, j])
+                    + self._metric(vx[:, i] - vx[:, j], vy[:, i] - vy[:, j]),
+                )
+            if self._euclidean:
+                for ex, ey in _apexes(vx[:, i], vy[:, i], vx[:, j], vy[:, j]):
+                    length = np.maximum(
+                        length, _fermat3(ux[:, i], uy[:, i], ux[:, j], uy[:, j], ex, ey)
+                    )
+                for ex, ey in _apexes(ux[:, i], uy[:, i], ux[:, j], uy[:, j]):
+                    length = np.maximum(
+                        length, _fermat3(ex, ey, vx[:, i], vy[:, i], vx[:, j], vy[:, j])
+                    )
+        stages = np.maximum(
+            self._slope[groups].min(axis=1) * length, self._third[groups].max(axis=1)
+        )
+        return nodes + 2.0 * self._hop_penalty + stages
+
+
+def provably_dominated(lower_bounds: np.ndarray, singleton_weights: np.ndarray) -> np.ndarray:
+    """Rows whose merging can never enter an optimal cover: its bound
+    exceeds the summed weights of the member singletons (which cover
+    the same rows) by more than :data:`DOMINANCE_RTOL`."""
+    return lower_bounds > singleton_weights * (1.0 + DOMINANCE_RTOL)
 
 
 #: distinguishes "not yet resolved" from "resolved to infeasible (None)".

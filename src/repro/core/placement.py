@@ -38,6 +38,7 @@ import numpy as np
 from scipy import optimize
 
 from ..kernels import current_kernels
+from ..obs import current_tracer
 from .geometry import EUCLIDEAN, Norm, Point, centroid
 
 __all__ = [
@@ -56,6 +57,8 @@ __all__ = [
 #: near an interior optimum, so 1e-9 · spread is far below any cost
 #: tolerance the synthesis cares about.
 _WEISZFELD_RTOL = 1e-9
+#: iteration cap of one Weiszfeld solve; every solve that reaches it is
+#: counted in the ``placement.max_iter_hits`` obs counter.
 _WEISZFELD_MAX_ITER = 2_000
 #: smoothing added under square roots to avoid the Weiszfeld singularity
 #: when an iterate lands exactly on an anchor.
@@ -188,6 +191,24 @@ def _optimal_anchor(xs: np.ndarray, ys: np.ndarray, w: np.ndarray) -> Optional[P
         if math.hypot(px, py) <= weight_here * (1 + 1e-12):
             return Point(float(xs[i]), float(ys[i]))
     return None
+
+
+def _record_weiszfeld_work(iterations: int, max_iter_hits: int, stragglers: int = 0) -> None:
+    """Count placement work on the deterministic obs counters.
+
+    Every figure depends only on the problems solved and on how they
+    were chunked — never on the worker layout — so serial and ``jobs=N``
+    runs report the same totals.  ``stragglers`` are the rows a
+    vectorised pump handed to its scalar tail.
+    """
+    tracer = current_tracer()
+    for name, value in (
+        ("placement.weiszfeld.iterations", iterations),
+        ("placement.max_iter_hits", max_iter_hits),
+        ("placement.stragglers", stragglers),
+    ):
+        if value:
+            tracer.count(name, value)
 
 
 def _objective(
@@ -336,6 +357,7 @@ def _alternating_weiszfeld(
     s = pinned_s if pinned_s is not None else centroid(list(sources))
     t = pinned_t if pinned_t is not None else centroid(list(sinks))
     total_iters = 0
+    hits = 0
     prev = F(s, t)
     for _ in range(60):
         if pinned_s is None:
@@ -343,15 +365,18 @@ def _alternating_weiszfeld(
             weights = [c.slope for c in feeder_costs] + [trunk_cost.slope]
             s, it1 = weiszfeld(anchors, weights, start=s)
             total_iters += it1
+            hits += it1 >= _WEISZFELD_MAX_ITER
         if pinned_t is None:
             anchors = list(sinks) + [s]
             weights = [c.slope for c in distributor_costs] + [trunk_cost.slope]
             t, it2 = weiszfeld(anchors, weights, start=t)
             total_iters += it2
+            hits += it2 >= _WEISZFELD_MAX_ITER
         cur = F(s, t)
         if prev - cur < 1e-12 * max(1.0, abs(prev)):
             break
         prev = cur
+    _record_weiszfeld_work(total_iters, hits)
     return PlacementResult(s, t, F(s, t), total_iters, "weiszfeld")
 
 
@@ -486,17 +511,20 @@ def _alternating_weiszfeld_lockstep(
                 prev[i] = cur
                 phase = "s"
 
+    hits = 0
     for i in range(m):
         drive(i, "s")
     while pump.in_flight:
         for (i, side), x, y, it in pump.pump():
             iters[i] += it
+            hits += it >= _WEISZFELD_MAX_ITER
             if side == "s":
                 s[i] = Point(x, y)
                 drive(i, "t")
             else:
                 t[i] = Point(x, y)
                 drive(i, "check")
+    _record_weiszfeld_work(sum(iters), hits, pump.stragglers)
 
     return [
         PlacementResult(s[i], t[i], items[i][1](s[i], t[i]), iters[i], "weiszfeld")

@@ -287,6 +287,28 @@ def make_cost_oracle(bandwidth: float, library: CommunicationLibrary):
     return cost
 
 
+def linear_minorant_slope(bandwidth: float, library: CommunicationLibrary) -> float:
+    """A slope ``m`` with ``best_point_to_point(d, bandwidth).cost >= m·d``
+    for every distance ``d >= 0``.
+
+    Every plan runs ``M`` parallel chains of one link type over the
+    whole distance, so it pays at least ``M · cost_per_unit · d``; its
+    fixed, repeater and mux/demux costs are nonnegative (the library
+    validates them).  The minimum over link types is therefore a linear
+    minorant of the cheapest plan.  ``M`` never shrinks as bandwidth
+    grows, so neither does the slope: a merging's trunk, which carries
+    the summed bandwidth, is bounded below by any member's slope.
+    """
+    return min(
+        (
+            (1 if link.can_carry(bandwidth) else math.ceil(bandwidth / link.bandwidth - 1e-12))
+            * link.cost_per_unit
+            for link in library.links
+        ),
+        default=0.0,
+    )
+
+
 def materialize_plan(
     graph: ImplementationGraph,
     plan: PointToPointPlan,

@@ -192,12 +192,15 @@ class WeiszfeldPump:
     (all of them, for this serial reference) unless nothing is in
     flight; :attr:`in_flight` reports pending work.  Result order
     carries no information — callers must key off the returned keys.
+    :attr:`stragglers` counts the tasks a vectorised pump started in its
+    batch but finished on a scalar loop (always 0 for this reference).
     """
 
     def __init__(self, backend: "KernelBackend", max_iter: int) -> None:
         self._backend = backend
         self._max_iter = max_iter
         self._queue: List[Tuple[Hashable, WeiszfeldTask]] = []
+        self.stragglers = 0
 
     @property
     def in_flight(self) -> bool:

@@ -306,6 +306,7 @@ class _NumpyWeiszfeldPump(WeiszfeldPump):
     def _drain_scalar(self) -> List[Tuple[object, float, float, int]]:
         """Finish every remaining row on the (tuned) scalar reference
         loop, continuing from its current iterate and budget."""
+        self.stragglers += self._n
         out = []
         for r in range(self._n):
             x, y, extra = _scalar_tail(

@@ -7,8 +7,8 @@ pre-empted container) is the common case.  The :class:`CheckpointJournal`
 makes completed work survive the process:
 
 - **chunk records** — one per completed candidate-generation planning
-  chunk (the same ``_PLAN_CHUNK`` boundaries ``generate_candidates``
-  dispatches to its worker pool), carrying the chunk's solved
+  chunk (the same boundaries ``generate_candidates`` dispatches to its
+  worker pool — a function of the group count alone), carrying the chunk's solved
   :class:`~repro.core.merging.MergingPlan` list so a resume replays it
   instead of re-solving the placements;
 - **incumbent records** — every strict improvement found by the
