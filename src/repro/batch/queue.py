@@ -72,6 +72,7 @@ from ..core.cache import PersistentCache, persistent_cache
 from ..core.synthesis import PruningLevel, SynthesisOptions
 from ..core.exceptions import BatchError
 from ..io.atomic import atomic_write
+from ..io.records import canonical_json, frame
 from ..obs import current_tracer
 from ..runtime.faults import (
     HeartbeatStallFault,
@@ -80,7 +81,7 @@ from ..runtime.faults import (
     fault_point,
 )
 from .scheduler import SolveTask, Transport, solve_one
-from .stream import canonical_json, load_stream_records, record_crc
+from .stream import load_stream_records
 
 __all__ = [
     "QUEUE_VERSION",
@@ -745,9 +746,7 @@ class QueueWorker:
                     self.options, self.deadline, inst.sha,
                 )
                 record.update(shard=shard.shard_id, token=lease.token, host=self.host_id)
-                stream.write(
-                    (canonical_json(dict(record, crc=record_crc(record))) + "\n").encode()
-                )
+                stream.write(frame(record).encode())
                 stream.flush()
                 if self.fsync:
                     os.fsync(stream.fileno())

@@ -30,10 +30,11 @@ from typing import Any, Dict, List, Optional, Sequence, TextIO, Union
 
 from ..core.cache import PersistentCache, persistent_cache
 from ..core.synthesis import SynthesisOptions
+from ..io.records import canonical_json, record_crc
 from ..obs import current_tracer
 from .corpus import InstanceRef
 from .scheduler import PoolTransport, SerialTransport, SolveTask, Transport, solve_one
-from .stream import ResultStream, canonical_json, load_completed, record_crc
+from .stream import ResultStream, load_completed
 
 __all__ = [
     "BatchSummary",
@@ -49,14 +50,8 @@ VOLATILE_RESULT_KEYS = ("elapsed_seconds", "degradation", "metrics")
 
 # long-standing private names, kept pointing at their new homes —
 # repro.serve and external callers reach them through this module.
-_canonical = canonical_json
 _crc = record_crc
 _solve_one = solve_one
-
-
-def _emit(stream: TextIO, record: Dict[str, Any]) -> None:
-    stream.write(canonical_json(dict(record, crc=record_crc(record))) + "\n")
-    stream.flush()
 
 
 def stable_result_dict(result) -> Dict[str, Any]:

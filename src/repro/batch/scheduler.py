@@ -7,7 +7,7 @@ record or asks a :class:`Transport` for a freshly solved one; how the
 solve actually executes is entirely the transport's business:
 
 - :class:`SerialTransport` — in-process, deterministic, debuggable;
-- :class:`PoolTransport` — the self-healing local process pool
+- :class:`PoolTransport` — a local :class:`~repro.runtime.pool.HealingPool`
   (worker death ⇒ rebuild + re-dispatch ⇒ in-process rescue);
 - :class:`~repro.batch.queue.QueueTransport` — the multi-host
   filesystem work queue with lease fencing (lives in its own module;
@@ -22,8 +22,7 @@ summary logic never know which one ran.
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -31,6 +30,7 @@ from ..core.cache import PersistentCache, current_persistent_cache, set_persiste
 from ..core.synthesis import SynthesisOptions, synthesize
 from ..obs import current_tracer
 from ..runtime.budget import Budget
+from ..runtime.pool import HealingPool, WorkerLost
 
 __all__ = [
     "SolveTask",
@@ -155,15 +155,14 @@ class SerialTransport(Transport):
 
 
 class PoolTransport(Transport):
-    """Fan tasks out over a self-healing local process pool.
+    """Fan tasks out over a local :class:`~repro.runtime.pool.HealingPool`.
 
-    Mirrors the recovery ladder of
-    :func:`repro.core.candidates._plan_arity_parallel`: a
-    ``BrokenProcessPool`` rebuilds the executor and re-dispatches the
-    lost instance plus everything still pending; a second loss of the
-    same instance solves it in-process under the parent's cache handle.
-    ``on_recovery`` is called once per rebuild so the caller can keep
-    its own books (``BatchSummary.worker_recoveries``).
+    The pool rebuilds itself when a worker dies and re-dispatches what
+    it held; an instance it loses twice is solved here, in-process,
+    under the parent's cache handle.  Every dispatch consults the
+    ``batch.dispatch`` fault site.  ``on_recovery`` is called once per
+    rebuild so the caller can keep its own books
+    (``BatchSummary.worker_recoveries``).
     """
 
     name = "pool"
@@ -178,57 +177,29 @@ class PoolTransport(Transport):
     ) -> None:
         self._options = options
         self._deadline = deadline
-        self._jobs = jobs
-        self._cache_dir = cache_dir
-        self._on_recovery = on_recovery
-        self._pool: Optional[ProcessPoolExecutor] = None
+        tracer = current_tracer()
+
+        def _rebuilt() -> None:
+            tracer.count_local("batch.worker_recoveries")
+            if on_recovery is not None:
+                on_recovery()
+
+        self._pool = HealingPool(jobs, _pool_init, (cache_dir,), on_rebuild=_rebuilt)
         self._futures: Dict[int, Future] = {}
-        self._tasks: Dict[int, SolveTask] = {}
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self._jobs, initializer=_pool_init, initargs=(self._cache_dir,)
-            )
-        return self._pool
-
-    def _dispatch(self, task: SolveTask) -> None:
-        self._futures[task.index] = self._ensure_pool().submit(
-            solve_one, task.name, task.path, self._options, self._deadline, task.sha
-        )
-
-    def _recover(self, after: int) -> None:
-        current_tracer().count_local("batch.worker_recoveries")
-        if self._on_recovery is not None:
-            self._on_recovery()
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-        for i in sorted(j for j in self._futures if j > after):
-            self._dispatch(self._tasks[i])
 
     def prepare(self, tasks: List[SolveTask]) -> None:
         for task in tasks:
-            self._tasks[task.index] = task
-            self._dispatch(task)
+            self._futures[task.index] = self._pool.submit(
+                solve_one, task.name, task.path, self._options, self._deadline, task.sha,
+                fault_site="batch.dispatch",
+            )
 
     def collect(self, task: SolveTask) -> Dict[str, Any]:
         try:
             return self._futures[task.index].result()
-        except BrokenProcessPool:
-            self._recover(task.index)
-            self._dispatch(task)
-            try:
-                return self._futures[task.index].result()
-            except BrokenProcessPool:
-                # twice-lost instance: the one path a worker cannot
-                # kill — solve it right here.
-                self._recover(task.index)
-                return solve_one(
-                    task.name, task.path, self._options, self._deadline, task.sha
-                )
+        except WorkerLost:
+            # twice-lost instance: the one path a worker cannot kill
+            return solve_one(task.name, task.path, self._options, self._deadline, task.sha)
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        self._pool.shutdown(wait=False)

@@ -2,9 +2,9 @@
 
 The *persist* third of the batch engine's dispatch/collect/persist
 split: one append-only stream of per-instance records, each line a
-canonical JSON object carrying a CRC-32 over its own content.  The
-format is deliberately the same family as the persistent cache and the
-checkpoint journal — records are **independent facts**: a torn or
+canonical JSON object carrying a CRC-32 over its own content — the
+:mod:`repro.io.records` framing the persistent cache and the checkpoint
+journal share.  Records are **independent facts**: a torn or
 corrupted line (crash mid-append, partial rsync) is skipped on load,
 never a truncation point, so every intact record before *and after* it
 still counts.
@@ -19,13 +19,13 @@ cost, which is why it is opt-in (``repro batch --fsync-results``).
 
 from __future__ import annotations
 
-import json
 import os
-import zlib
 from pathlib import Path
-from typing import Any, Dict, Optional, TextIO, Union
+from typing import Any, Dict, TextIO, Union
 
 from ..core.exceptions import BatchError
+# canonical_json/record_crc: re-exported, long-standing public names
+from ..io.records import RecordError, canonical_json, frame, parse_record, record_crc
 
 __all__ = [
     "canonical_json",
@@ -34,32 +34,6 @@ __all__ = [
     "load_stream_records",
     "load_completed",
 ]
-
-
-def canonical_json(doc: Any) -> str:
-    """The one canonical JSON form (sorted keys, no whitespace) every
-    CRC in the batch layer is computed over."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def record_crc(doc: Any) -> str:
-    return format(zlib.crc32(canonical_json(doc).encode("utf-8")), "08x")
-
-
-def validate_record_line(raw: bytes) -> Optional[Dict[str, Any]]:
-    """Parse one stream line; ``None`` for anything less than a fully
-    intact, CRC-matching record (torn tail, bit flip, interleaved
-    write).  The returned dict has the ``crc`` field already popped."""
-    try:
-        record = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    if not isinstance(record, dict) or "crc" not in record:
-        return None
-    crc = record.pop("crc")
-    if record_crc(record) != crc:
-        return None
-    return record
 
 
 def load_stream_records(path: Union[str, Path]) -> list:
@@ -74,9 +48,10 @@ def load_stream_records(path: Union[str, Path]) -> list:
     except OSError as exc:
         raise BatchError(f"results stream {path}: unreadable: {exc}") from exc
     for raw in raw_lines:
-        record = validate_record_line(raw)
-        if record is not None:
-            records.append(record)
+        try:
+            records.append(parse_record(raw))
+        except RecordError:
+            continue  # torn tail, bit flip, interleaved write
     return records
 
 
@@ -137,7 +112,7 @@ class ResultStream:
     def emit(self, record: Dict[str, Any]) -> None:
         """Durably append one record (CRC added here; flushed always,
         fsynced when this stream was opened with ``fsync=True``)."""
-        self._stream.write(canonical_json(dict(record, crc=record_crc(record))) + "\n")
+        self._stream.write(frame(record))
         self._stream.flush()
         if self.fsync:
             os.fsync(self._stream.fileno())

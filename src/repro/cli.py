@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     syn.add_argument(
         "--kernels",
-        choices=("auto", "python", "numpy", "numba"),
+        choices=("auto", "python", "numpy"),
         default=None,
         help="compute-kernel backend for the numeric hot paths; every "
         "backend is bit-identical on results (default: REPRO_KERNELS "

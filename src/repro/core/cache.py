@@ -49,14 +49,13 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import json
 import pickle
-import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, BinaryIO, Dict, Iterator, Optional, Tuple, Union
 
+from ..io.records import RecordError, canonical_json, frame, parse_record
 from ..obs import current_tracer
 from .library import CommunicationLibrary
 
@@ -76,14 +75,6 @@ __all__ = [
 CACHE_VERSION = 1
 
 
-def _canonical(doc: Any) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def _crc(doc: Any) -> str:
-    return format(zlib.crc32(_canonical(doc).encode("utf-8")), "08x")
-
-
 def library_fingerprint(library: CommunicationLibrary) -> str:
     """SHA-256 over the library's canonical JSON form.
 
@@ -98,7 +89,7 @@ def library_fingerprint(library: CommunicationLibrary) -> str:
         return cached
     from ..io.json_io import library_to_dict  # lazy: avoids an import cycle
 
-    digest = hashlib.sha256(_canonical(library_to_dict(library)).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(canonical_json(library_to_dict(library)).encode("utf-8")).hexdigest()
     memo["sha256"] = digest
     return digest
 
@@ -178,7 +169,7 @@ class PersistentCache:
         if not meta.exists():
             from ..io.atomic import atomic_write
 
-            atomic_write(meta, _canonical({"format": "repro-cache", "version": CACHE_VERSION}))
+            atomic_write(meta, canonical_json({"format": "repro-cache", "version": CACHE_VERSION}))
 
     def _entry_path(self, space: str, fingerprint: str) -> Path:
         return self.directory / f"{space}-v{CACHE_VERSION}-{fingerprint[:16]}.jsonl"
@@ -206,15 +197,10 @@ class PersistentCache:
         point) — later records written by other workers still load.
         """
         try:
-            record = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            self.stats.corrupt_discarded += 1
-            return
-        if not isinstance(record, dict) or "crc" not in record:
-            self.stats.corrupt_discarded += 1
-            return
-        crc = record.pop("crc")
-        if _crc(record) != crc or record.get("fp") != fingerprint:
+            record = parse_record(raw)
+        except RecordError:
+            record = None
+        if record is None or record.get("fp") != fingerprint:
             self.stats.corrupt_discarded += 1
             return
         payload = record.get("val")
@@ -236,7 +222,7 @@ class PersistentCache:
         """``(True, value)`` on a hit — value may be ``None`` (a cached
         infeasibility) — or ``(False, None)`` on a miss."""
         fingerprint = library_fingerprint(library)
-        value = self._table(space, fingerprint).get(_canonical(key), _ABSENT)
+        value = self._table(space, fingerprint).get(canonical_json(key), _ABSENT)
         if value is _ABSENT:
             self.stats.misses += 1
             current_tracer().count_local(f"cache.persistent.{space}.miss")
@@ -250,14 +236,14 @@ class PersistentCache:
         fingerprint = library_fingerprint(library)
         record: Dict[str, Any] = {
             "fp": fingerprint,
-            "key": _canonical(key),
+            "key": canonical_json(key),
             "val": None
             if value is None
             else base64.b64encode(
                 pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
             ).decode("ascii"),
         }
-        line = (_canonical(dict(record, crc=_crc(record))) + "\n").encode("utf-8")
+        line = frame(record).encode("utf-8")
         path = self._entry_path(space, fingerprint)
         handle = self._handles.get(path)
         if handle is None:
@@ -280,13 +266,8 @@ class PersistentCache:
         directories; deserialization (and its own corruption check)
         happens at serve time in :meth:`_load_record`."""
         try:
-            record = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return None
-        if not isinstance(record, dict) or "crc" not in record:
-            return None
-        crc = record.pop("crc")
-        if _crc(record) != crc:
+            record = parse_record(raw)
+        except RecordError:
             return None
         if not isinstance(record.get("fp"), str) or not record["fp"].startswith(fp16):
             return None
@@ -339,7 +320,7 @@ class PersistentCache:
                 if ident in have:
                     continue
                 have.add(ident)
-                fresh.append(_canonical(dict(record, crc=_crc(record))) + "\n")
+                fresh.append(frame(record))
             if not fresh:
                 continue
             handle = self._handles.get(dest_path)

@@ -33,8 +33,7 @@ import itertools
 import logging
 import math
 import os
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
@@ -45,7 +44,7 @@ from ..kernels import current_kernels, set_kernels
 from ..obs import TracerLike, Tracer, TraceSnapshot, current_tracer, tracing
 from ..runtime.budget import Budget, BudgetTracker, as_tracker
 from ..runtime.checkpoint import CheckpointJournal
-from ..runtime.faults import WorkerCrashFault, fault_point
+from ..runtime.pool import HealingPool, WorkerLost
 from .cache import PersistentCache, current_persistent_cache, set_persistent_cache
 from .constraint_graph import ConstraintGraph
 from .exceptions import BudgetExceeded, InfeasibleError
@@ -54,7 +53,6 @@ from .matrices import ArcMatrices, IncrementalArcMatrices, compute_matrices
 from .merging import (
     MergeCostBound,
     MergingPlan,
-    build_merging_plan,
     build_merging_plans_batch,
     provably_dominated,
 )
@@ -275,12 +273,11 @@ def generate_candidates(
     candidates, costs and stats *identical* to a serial one; the
     ``budget`` deadline is enforced between chunks, preserving the
     ``budget_truncated`` semantics under parallelism.  A worker that
-    *dies* (killed, segfault, unpicklable crash) does not surface as
-    ``BrokenProcessPool``: the pool is rebuilt and the lost chunk
-    re-dispatched (in-process on a second failure), preserving the
-    serial-identical ordering; recoveries are counted in
-    ``stats.worker_recoveries`` and the ``pool.worker_recoveries``
-    local obs counter.
+    *dies* (killed, segfault, unpicklable crash) costs throughput, not
+    the result: the :class:`~repro.runtime.pool.HealingPool` rebuilds
+    and re-dispatches, and a chunk lost twice is solved in-process;
+    rebuilds are counted in ``stats.worker_recoveries`` and the
+    ``pool.worker_recoveries`` local obs counter.
 
     ``journal`` (a :class:`~repro.runtime.checkpoint.CheckpointJournal`)
     makes the expensive planning passes crash-tolerant: every completed
@@ -346,14 +343,24 @@ def generate_candidates(
                 if drop_dominated or skip_dominated
                 else None
             )
-            pool: Optional[_PoolManager] = None
+            pool: Optional[HealingPool] = None
             try:
                 if jobs is not None and jobs > 1:
                     store = current_persistent_cache()
-                    pool = _PoolManager(
-                        jobs, graph, library, polish_placement, tracer.enabled,
-                        cache_dir=str(store.directory) if store is not None else None,
-                        kernels=current_kernels().name,
+
+                    def _recovered() -> None:
+                        stats.worker_recoveries += 1
+                        tracer.count_local("pool.worker_recoveries")
+
+                    pool = HealingPool(
+                        jobs,
+                        _pool_init,
+                        (
+                            graph, library, polish_placement, tracer.enabled,
+                            str(store.directory) if store is not None else None,
+                            current_kernels().name,
+                        ),
+                        on_rebuild=_recovered,
                     )
                 mergings = _enumerate_mergings(
                     graph, library, matrices, pruning, max_arity, stats, polish_placement,
@@ -361,7 +368,7 @@ def generate_candidates(
                 )
             finally:
                 if pool is not None:
-                    pool.shutdown()
+                    pool.shutdown(wait=False)
 
         if max_merge_hops is not None:
             before = len(mergings)
@@ -442,7 +449,6 @@ def _record_plan_outcome(
 
 def _pool_plan_chunk(
     groups: Sequence[Tuple[str, ...]],
-    crash: bool = False,
 ) -> Tuple[List[Optional[MergingPlan]], Optional[TraceSnapshot]]:
     """Worker task: solve one chunk of placement problems, in order.
 
@@ -451,19 +457,10 @@ def _pool_plan_chunk(
     bit-identical to the serial loop — plus, when the parent run is
     traced, a :class:`~repro.obs.TraceSnapshot` of this chunk's spans
     and counters for deterministic merging into the parent trace.
-
-    ``crash`` is set by the dispatcher when a ``worker_crash`` fault
-    fired for this chunk: the worker solves its first placement and
-    then dies abruptly (``os._exit``), exactly as a segfault or an OOM
-    kill would — no exception, no cleanup, a broken pool.
     """
     graph: ConstraintGraph = _POOL_STATE["graph"]  # type: ignore[assignment]
     library: CommunicationLibrary = _POOL_STATE["library"]  # type: ignore[assignment]
     polish: bool = _POOL_STATE["polish"]  # type: ignore[assignment]
-    if crash:
-        if groups:
-            build_merging_plan(graph, list(groups[0]), library, polish_placement=polish)
-        os._exit(13)  # mid-chunk, uncatchable: simulates SIGKILL/segfault
     if not _POOL_STATE.get("trace"):
         return build_merging_plans_batch(
             graph, groups, library, polish_placement=polish
@@ -480,48 +477,6 @@ def _pool_plan_chunk(
             for group, plan in zip(groups, plans):
                 _record_plan_outcome(tracer, len(group), plan)
     return plans, tracer.snapshot()
-
-
-class _PoolManager:
-    """A self-healing :class:`ProcessPoolExecutor` for planning chunks.
-
-    ``ProcessPoolExecutor`` is fail-stop: one abruptly-dead worker
-    breaks the whole pool and every pending future raises
-    :class:`BrokenProcessPool`.  The manager owns the executor plus the
-    arguments needed to recreate it, so the planning loop can
-    :meth:`rebuild` after a crash and re-dispatch lost chunks instead
-    of surfacing the break to the caller.
-    """
-
-    def __init__(
-        self,
-        jobs: int,
-        graph: ConstraintGraph,
-        library: CommunicationLibrary,
-        polish_placement: bool,
-        trace: bool,
-        cache_dir: Optional[str] = None,
-        kernels: Optional[str] = None,
-    ) -> None:
-        self.jobs = jobs
-        self._initargs = (graph, library, polish_placement, trace, cache_dir, kernels)
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    def submit(self, fn, *args) -> Future:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs, initializer=_pool_init, initargs=self._initargs
-            )
-        return self._pool.submit(fn, *args)
-
-    def rebuild(self) -> None:
-        """Discard the broken executor; the next submit starts a fresh one."""
-        self.shutdown()
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
 
 
 def _prune_arity(
@@ -713,7 +668,7 @@ def _plan_arity_serial(
 
 
 def _plan_arity_parallel(
-    pool: _PoolManager,
+    pool: HealingPool,
     graph: ConstraintGraph,
     library: CommunicationLibrary,
     names: Sequence[str],
@@ -733,11 +688,9 @@ def _plan_arity_parallel(
     is consumed, and on truncation the pending chunks are cancelled.
 
     Chunks already present in ``journal`` are replayed without ever
-    reaching the pool.  A chunk whose worker dies (killed, segfault —
-    surfacing as :class:`BrokenProcessPool`) is recovered: the pool is
-    rebuilt, the lost chunk and every still-pending chunk are
-    re-dispatched, and on a second death of the same chunk it is solved
-    in-process — so worker loss degrades throughput, never the result.
+    reaching the pool.  The pool heals dead workers itself; a chunk it
+    gives up on (:class:`~repro.runtime.pool.WorkerLost`) is solved
+    here — so worker loss degrades throughput, never the result.
     """
     tracer = current_tracer()
     groups = [tuple(names[i] for i in subset) for subset in survivors_k]
@@ -750,29 +703,11 @@ def _plan_arity_parallel(
             if plans is not None:
                 cached[index] = plans
 
-    futures: Dict[int, Future] = {}
-
-    def _dispatch(index: int, allow_fault: bool) -> None:
-        crash = False
-        if allow_fault:
-            try:
-                fault_point(f"pool.dispatch.k{k}")
-            except WorkerCrashFault:
-                crash = True  # poison this chunk: its worker will die mid-chunk
-        futures[index] = pool.submit(_pool_plan_chunk, chunks[index], crash)
-
-    def _redispatch_pending(after: int) -> None:
-        for index in sorted(i for i in futures if i > after):
-            futures[index] = pool.submit(_pool_plan_chunk, chunks[index], False)
-
-    def _recover() -> None:
-        stats.worker_recoveries += 1
-        tracer.count_local("pool.worker_recoveries")
-        pool.rebuild()
-
-    for index in range(len(chunks)):
-        if index not in cached:
-            _dispatch(index, allow_fault=True)
+    futures: Dict[int, Future] = {
+        index: pool.submit(_pool_plan_chunk, chunk, fault_site=f"pool.dispatch.k{k}")
+        for index, chunk in enumerate(chunks)
+        if index not in cached
+    }
 
     for pos in range(len(chunks)):
         try:
@@ -791,24 +726,15 @@ def _plan_arity_parallel(
         else:
             try:
                 plans, snapshot = futures[pos].result()
-            except BrokenProcessPool:
-                _recover()
-                futures[pos] = pool.submit(_pool_plan_chunk, chunks[pos], False)
-                _redispatch_pending(pos)
-                try:
-                    plans, snapshot = futures[pos].result()
-                except BrokenProcessPool:
-                    # twice-lost chunk: solve it here, serially — the
-                    # one path that cannot be killed by a worker.
-                    _recover()
-                    _redispatch_pending(pos)
-                    snapshot = None
-                    plans = build_merging_plans_batch(
-                        graph, chunks[pos], library,
-                        polish_placement=polish_placement,
-                    )
-                    for plan in plans:
-                        _record_plan_outcome(tracer, k, plan)
+            except WorkerLost:
+                # twice-lost chunk: solve it here, serially — the one
+                # path that cannot be killed by a worker.
+                snapshot = None
+                plans = build_merging_plans_batch(
+                    graph, chunks[pos], library, polish_placement=polish_placement,
+                )
+                for plan in plans:
+                    _record_plan_outcome(tracer, k, plan)
             if snapshot is not None:
                 # Plan-outcome counters were accumulated in the worker;
                 # the absorbed snapshots sum to exactly the serial totals.
@@ -848,7 +774,7 @@ def _enumerate_mergings(
     stats: GenerationStats,
     polish_placement: bool = True,
     tracker: Optional[BudgetTracker] = None,
-    pool: Optional[_PoolManager] = None,
+    pool: Optional[HealingPool] = None,
     journal: Optional[CheckpointJournal] = None,
     dominated: Optional[Callable[[Sequence[str], np.ndarray], np.ndarray]] = None,
 ) -> List[Candidate]:

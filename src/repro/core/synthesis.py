@@ -156,10 +156,9 @@ class SynthesisOptions:
     max_cluster_arcs: Optional[int] = None
     #: compute-kernel backend for the numeric hot paths (Weiszfeld
     #: iterations, batched Lemma 3.2 / Theorem 3.2 predicates, Δ matrix
-    #: fill): ``"python"`` (pure-python reference), ``"numpy"``,
-    #: ``"numba"`` (when installed), or ``None``/``"auto"`` to honour
-    #: the ``REPRO_KERNELS`` environment variable and fall back to the
-    #: fastest available backend.  Every backend is bit-identical on
+    #: fill): ``"python"`` (pure-python reference), ``"numpy"``, or
+    #: ``None``/``"auto"`` to honour the ``REPRO_KERNELS`` environment
+    #: variable and fall back to the fastest available backend.  Every backend is bit-identical on
     #: result JSON — an execution knob, not a semantic one — so it is
     #: excluded from checkpoint fingerprints.  See :mod:`repro.kernels`.
     kernels: Optional[str] = None

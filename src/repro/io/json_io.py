@@ -18,15 +18,17 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any, Dict, List, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple, Union
 
 from ..core.constraint_graph import ConstraintGraph
 from ..core.exceptions import InstanceFormatError
 from ..core.geometry import Point, norm_by_name
 from ..core.library import CommunicationLibrary, Link, NodeKind, NodeSpec
-from ..core.synthesis import SynthesisResult
 from ..obs import metrics_dict
 from .atomic import atomic_write
+
+if TYPE_CHECKING:  # the synthesis layer imports this package
+    from ..core.synthesis import SynthesisResult
 
 __all__ = [
     "constraint_graph_to_dict",

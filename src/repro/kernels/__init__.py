@@ -4,10 +4,9 @@ Selection order (first match wins):
 
 1. an explicit backend — ``SynthesisOptions(kernels="numpy")`` /
    ``repro synthesize --kernels numpy`` / :func:`use_kernels`;
-2. the ``REPRO_KERNELS`` environment variable (``python`` | ``numpy``
-   | ``numba``);
-3. auto-detect: ``numba`` when importable, else ``numpy`` (always
-   available — it is a core dependency), else ``python``.
+2. the ``REPRO_KERNELS`` environment variable (``python`` | ``numpy``);
+3. auto-detect: ``numpy`` (always available — it is a core
+   dependency), else ``python``.
 
 Every backend is **bit-identical**: same result JSON, same costs, same
 verdicts, same iteration counts — the backend changes *how fast* the
@@ -47,7 +46,7 @@ __all__ = [
 
 #: selection names, in auto-detect preference order (first available
 #: wins when neither an explicit choice nor ``REPRO_KERNELS`` is set).
-KERNEL_BACKENDS = ("numba", "numpy", "python")
+KERNEL_BACKENDS = ("numpy", "python")
 
 _ENV_VAR = "REPRO_KERNELS"
 
@@ -70,10 +69,6 @@ def _load(name: str) -> Optional[KernelBackend]:
                 from .numpy_backend import NumpyKernels
 
                 backend = NumpyKernels()
-            elif name == "numba":
-                from .numba_backend import NumbaKernels
-
-                backend = NumbaKernels()
             else:
                 raise ValueError(
                     f"unknown kernel backend {name!r}; "

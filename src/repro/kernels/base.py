@@ -69,7 +69,7 @@ class KernelBackend:
     in the module docstring.
     """
 
-    #: registry / selection name ("python", "numpy", "numba").
+    #: registry / selection name ("python", "numpy").
     name: str = "base"
 
     # ------------------------------------------------------------------

@@ -11,7 +11,10 @@
   ``bnb -> ilp -> greedy`` with per-stage timeouts and retry;
 - :mod:`repro.runtime.checkpoint` — the crash-tolerant
   :class:`CheckpointJournal` (append-only, CRC-checked) that lets a
-  killed run resume with an identical result.
+  killed run resume with an identical result;
+- :mod:`repro.runtime.pool` — :class:`~repro.runtime.pool.HealingPool`,
+  the self-healing process pool (rebuild → re-dispatch → in-process
+  rescue) behind candidate planning, batch mode and ``repro serve``.
 
 ``Supervisor``/``RetryPolicy`` are loaded lazily: the covering solvers
 import this package for checkpoints, and the supervisor imports the

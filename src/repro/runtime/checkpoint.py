@@ -50,11 +50,11 @@ import io
 import json
 import os
 import pickle
-import zlib
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.exceptions import CheckpointError, CheckpointIncompatibleError
+from ..io.records import RecordError, canonical_json, frame, parse_record, record_crc
 
 __all__ = [
     "JOURNAL_VERSION",
@@ -67,12 +67,9 @@ __all__ = [
 JOURNAL_VERSION = 1
 
 
-def _canonical(record: Dict[str, Any]) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
-def _crc(record: Dict[str, Any]) -> str:
-    return format(zlib.crc32(_canonical(record).encode("utf-8")), "08x")
+# long-standing private names for the shared record framing
+_canonical = canonical_json
+_crc = record_crc
 
 
 def instance_fingerprint(graph, library, options=None) -> str:
@@ -111,7 +108,7 @@ def instance_fingerprint(graph, library, options=None) -> str:
             # result-shaping as it gets
             "demand_margin": options.demand_margin,
         }
-    digest = hashlib.sha256(_canonical(doc).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
     return digest
 
 
@@ -205,8 +202,7 @@ class CheckpointJournal:
             "seq": 0,
             "payload": {"version": JOURNAL_VERSION, "fingerprint": self.fingerprint},
         }
-        line = _canonical(dict(header, crc=_crc(header))) + "\n"
-        atomic_write(self.path, line)
+        atomic_write(self.path, frame(header))
         self._seq = 1
         self._handle = open(self.path, "ab")
 
@@ -235,18 +231,10 @@ class CheckpointJournal:
             if newline < 0:
                 self._set_tail_report(index, "truncated mid-record (no final newline)")
                 break
-            line = raw[offset : newline + 1]
             try:
-                record = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                self._set_tail_report(index, "unparseable record")
-                break
-            if not isinstance(record, dict) or "crc" not in record:
-                self._set_tail_report(index, "record is not an object with a crc")
-                break
-            crc = record.pop("crc")
-            if _crc(record) != crc:
-                self._set_tail_report(index, "checksum mismatch")
+                record = parse_record(raw[offset : newline + 1])
+            except RecordError as exc:
+                self._set_tail_report(index, str(exc))
                 break
             if record.get("seq") != expected_seq:
                 self._set_tail_report(
@@ -327,7 +315,7 @@ class CheckpointJournal:
             raise CheckpointError(f"{self.path}: journal is closed")
         record = {"kind": kind, "seq": self._seq, "payload": payload}
         try:
-            line = _canonical(dict(record, crc=_crc(record))) + "\n"
+            line = frame(record)
         except (TypeError, ValueError) as exc:
             raise CheckpointError(f"cannot serialize {kind!r} record: {exc}") from exc
         self._handle.write(line.encode("utf-8"))

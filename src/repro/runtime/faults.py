@@ -46,11 +46,12 @@ __all__ = [
 #: ``timeout`` — raises :class:`BudgetExceeded` (reason ``injected-timeout``);
 #: ``node_budget`` — raises :class:`BudgetExceeded` (reason ``injected-node-budget``);
 #: ``error`` — raises :class:`TransientSolverError` (retryable);
-#: ``worker_crash`` — raises :class:`WorkerCrashFault` at a pool
-#: *dispatch* site (``"pool.dispatch.k2"``, ...): the dispatcher marks
-#: the chunk so the worker process that picks it up dies abruptly
-#: (``os._exit``) mid-chunk, exercising the pool-recovery path exactly
-#: as a segfault or OOM kill would;
+#: ``worker_crash`` — raises :class:`WorkerCrashFault` at a
+#: :class:`~repro.runtime.pool.HealingPool` *dispatch* site
+#: (``"pool.dispatch.k2"``, ``"batch.dispatch"``, ``"serve.dispatch"``):
+#: the pool sends a call that makes the worker process picking it up
+#: die abruptly (``os._exit``), exercising the pool-recovery path
+#: exactly as a segfault or OOM kill would;
 #: ``stall`` — raises nothing: the injector itself blocks for
 #: ``stall_s`` seconds (via its injectable ``sleep``) before letting the
 #: site proceed, so deadline-overrun, watchdog and admission-control
@@ -81,8 +82,9 @@ FAULT_KINDS = (
 class WorkerCrashFault(Exception):
     """Fired by a ``worker_crash`` :class:`FaultSpec` at a pool dispatch
     site.  Deliberately *not* a :class:`~repro.core.exceptions.SynthesisError`:
-    only the pool dispatcher catches it (to poison the outgoing chunk);
-    anywhere else it is a loud test-harness bug."""
+    only :class:`~repro.runtime.pool.HealingPool` dispatch catches it
+    (to poison the outgoing task); anywhere else it is a loud
+    test-harness bug."""
 
 
 class HostDeathFault(Exception):

@@ -13,8 +13,8 @@ robustness envelope is the product:
   :class:`~repro.runtime.budget.Budget` deadline through the
   Supervisor's anytime bnb → ilp → greedy chain; the response reports
   the :class:`~repro.runtime.report.DegradationReport` quality;
-- **fault containment** — solves run in a self-healing process pool
-  (the ladder of :mod:`repro.batch.runner`): a dead worker rebuilds the
+- **fault containment** — solves run in a
+  :class:`~repro.runtime.pool.HealingPool`: a dead worker rebuilds the
   pool and re-dispatches, a twice-lost request is solved in-process;
   a watchdog kills workers stuck past their request's deadline; an
   accepted request always terminates in an ok/degraded/failed record;
@@ -41,23 +41,23 @@ import asyncio
 import contextlib
 import itertools
 import json
-import os
 import shutil
 import signal
 import sys
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Any, Dict, List, Optional, TextIO, Tuple
 
-from ..batch.runner import _emit, _instance_sha, _solve_one
+from ..batch.runner import _instance_sha, _solve_one
 from ..core.cache import PersistentCache, persistent_cache
 from ..core.synthesis import SynthesisOptions
-from ..runtime.faults import FaultInjector, FaultSpec, WorkerCrashFault, fault_point
+from ..io.records import frame
+from ..runtime.faults import FaultInjector, FaultSpec
+from ..runtime.pool import HealingPool, PoolFuture, WorkerLost
 from ..runtime.supervisor import RetryPolicy
 from .admission import AdmissionController, AdmissionPolicy
 from .protocol import (
@@ -208,14 +208,22 @@ class _Request:
     accepted_at: float
     phase: str = "queued"  # queued | running | done
     lane: str = "pool"  # pool | inproc
-    attempts: int = 0
-    recoveries: int = 0
     started_at: Optional[float] = None
-    attempt_started_at: Optional[float] = None
+    #: the pool's handle on this request's solve, once dispatched.
+    solve: Optional[PoolFuture] = None
 
     @property
     def name(self) -> str:
         return self.submit.name or self.id
+
+    @property
+    def attempts(self) -> int:
+        pool = self.solve.attempts if self.solve is not None else 0
+        return pool + (self.lane == "inproc")
+
+    @property
+    def recoveries(self) -> int:
+        return self.solve.losses if self.solve is not None else 0
 
 
 # ----------------------------------------------------------------------
@@ -233,34 +241,6 @@ def _serve_worker_init(
     set_persistent_cache(PersistentCache(cache_dir) if cache_dir else None)
     if fault_specs:
         FaultInjector(list(fault_specs), seed=fault_seed).__enter__()
-
-
-def _serve_solve(
-    name: str,
-    path_str: str,
-    options: SynthesisOptions,
-    deadline: Optional[float],
-    sha: str,
-    trace: bool,
-    poison: bool,
-) -> Dict[str, Any]:
-    """The unit of pool work: :func:`repro.batch.runner._solve_one`.
-
-    ``poison=True`` (a parent-side ``worker_crash`` fault at the
-    ``serve.dispatch`` site) kills this worker abruptly mid-request —
-    the honest stand-in for a segfault or OOM kill — exercising the
-    rebuild → re-dispatch → in-process recovery ladder end to end.
-    """
-    if poison:
-        os._exit(13)
-    return _solve_one(name, path_str, options, deadline, sha, trace=trace)
-
-
-def _warmup() -> int:
-    """No-op pool task: forces worker processes to spawn eagerly, so
-    the first real request pays no fork latency and the watchdog/drain
-    paths have live pids to act on from the start."""
-    return os.getpid()
 
 
 # ----------------------------------------------------------------------
@@ -285,9 +265,12 @@ class SynthesisServer:
         self.port: Optional[int] = None
         self._ids = itertools.count(1)
         self._running: Dict[str, _Request] = {}
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_gen = 0
-        self._pool_lock: Optional[asyncio.Lock] = None
+        self._workers = HealingPool(
+            self.config.workers,
+            _serve_worker_init,
+            (self.config.cache_dir, tuple(self.config.fault_plan), self.config.fault_seed),
+            on_rebuild=self._on_pool_rebuild,
+        )
         self._inproc: Optional[ThreadPoolExecutor] = None
         self._parent_store: Optional[PersistentCache] = None
         self._results_stream: Optional[TextIO] = None
@@ -321,8 +304,7 @@ class SynthesisServer:
             self._results_stream = open(results, "a")
         self._dispatch_wakeup = asyncio.Event()
         self._drained = asyncio.Event()
-        self._pool_lock = asyncio.Lock()
-        self._ensure_pool()  # warm the workers before the first request
+        self._workers.warm()  # no fork latency on the first request
         self._server = await asyncio.start_server(self._on_connection, cfg.host, cfg.port)
         self.port = self._server.sockets[0].getsockname()[1]
         self._tasks = [
@@ -371,7 +353,9 @@ class SynthesisServer:
         for _client, request in self.scheduler.drain():
             self.admission.release(request.submit.client)
             self._finish(request, self._abandon_record(request, "queued"))
-        self._kill_pool_workers()
+        # killed for drain, so never re-dispatched: in-flight requests
+        # fail out with WorkerLost and get their drain record
+        self._workers.shutdown(wait=False, kill=True)
         self._maybe_finish_drain()
 
     def _maybe_finish_drain(self) -> None:
@@ -397,10 +381,8 @@ class SynthesisServer:
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
-        if self._pool is not None:
-            # wait=True joins every worker: no orphan processes survive
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
+        # wait=True joins every worker: no orphan processes survive
+        self._workers.shutdown(wait=True)
         if self._inproc is not None:
             self._inproc.shutdown(wait=True)
             self._inproc = None
@@ -417,43 +399,14 @@ class SynthesisServer:
     # ------------------------------------------------------------------
     # pool management
     # ------------------------------------------------------------------
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.config.workers,
-                initializer=_serve_worker_init,
-                initargs=(self.config.cache_dir, tuple(self.config.fault_plan),
-                          self.config.fault_seed),
-            )
-            # each submit spawns one more process until max_workers exist
-            for _ in range(self.config.workers):
-                self._pool.submit(_warmup)
-        return self._pool
+    @property
+    def _pool(self) -> Optional[ProcessPoolExecutor]:
+        """The live worker executor (None between a rebuild and the next
+        dispatch, and after shutdown)."""
+        return self._workers.executor
 
-    async def _note_pool_broken(self, seen_gen: int) -> None:
-        """First caller per generation rebuilds; the rest just re-dispatch."""
-        assert self._pool_lock is not None
-        async with self._pool_lock:
-            if self._pool_gen != seen_gen:
-                return
-            self._pool_gen += 1
-            self.stats.worker_recoveries += 1
-            broken, self._pool = self._pool, None
-            if broken is not None:
-                broken.shutdown(wait=False, cancel_futures=True)
-
-    def _kill_pool_workers(self) -> None:
-        """Forcibly kill every worker (watchdog / drain-grace path).
-
-        The killed processes break the pool; every pending solve raises
-        :class:`BrokenProcessPool` and re-enters the recovery ladder.
-        """
-        pool = self._pool
-        if pool is None:
-            return
-        for process in list(getattr(pool, "_processes", {}).values()):
-            with contextlib.suppress(Exception):
-                process.kill()
+    def _on_pool_rebuild(self) -> None:
+        self.stats.worker_recoveries += 1
 
     def _ensure_inproc(self) -> ThreadPoolExecutor:
         # one thread: in-process solves share the parent cache handle,
@@ -489,52 +442,22 @@ class SynthesisServer:
                 self._running[request.id] = request
                 asyncio.create_task(self._run_request(request), name=f"serve-{request.id}")
 
-    def _poisoned(self, request: _Request) -> bool:
-        """Consult the parent-side fault plan at the dispatch site."""
-        try:
-            fault_point("serve.dispatch")
-            return False
-        except WorkerCrashFault:
-            return True
-
     async def _run_request(self, request: _Request) -> None:
-        loop = asyncio.get_running_loop()
         request.phase = "running"
         request.started_at = time.monotonic()
         trace = request.submit.trace or request.submit.stream
         record: Optional[Dict[str, Any]] = None
         try:
-            for attempt in (1, 2):
-                if self._abandoning:
-                    break
-                request.attempts = attempt
-                request.attempt_started_at = time.monotonic()
-                gen = self._pool_gen
-                # consulted per dispatch: a chaos plan can poison the
-                # re-dispatch too (repeated-crash recovery is a tested path)
-                poison = self._poisoned(request)
-                try:
-                    record = await loop.run_in_executor(
-                        self._ensure_pool(),
-                        partial(
-                            _serve_solve, request.name, str(request.path),
-                            request.options, request.deadline_s, request.sha,
-                            trace, poison,
-                        ),
-                    )
-                    break
-                except BrokenProcessPool:
-                    request.recoveries += 1
-                    await self._note_pool_broken(gen)
-            if record is None and not self._abandoning:
-                # twice-lost request: the one lane a worker cannot kill
-                self.stats.inprocess_solves += 1
-                request.lane = "inproc"
-                request.attempts += 1
-                request.attempt_started_at = time.monotonic()
-                record = await loop.run_in_executor(
-                    self._ensure_inproc(), partial(self._inproc_solve, request, trace)
+            if not self._abandoning:
+                request.solve = self._workers.submit(
+                    _solve_one, request.name, str(request.path), request.options,
+                    request.deadline_s, request.sha, trace, fault_site="serve.dispatch",
                 )
+                try:
+                    record = await asyncio.wrap_future(request.solve)
+                except WorkerLost:
+                    if not self._abandoning:
+                        record = await self._rescue(request, trace)
         except Exception as exc:  # noqa: BLE001 - a record is owed, no matter what
             record = {
                 "name": request.name, "sha": request.sha, "status": "failed",
@@ -543,6 +466,14 @@ class SynthesisServer:
         if record is None:
             record = self._abandon_record(request, "running")
         self._finish(request, record)
+
+    async def _rescue(self, request: _Request, trace: bool) -> Dict[str, Any]:
+        """Solve a twice-lost request in the one lane a worker cannot kill."""
+        self.stats.inprocess_solves += 1
+        request.lane = "inproc"
+        return await asyncio.get_running_loop().run_in_executor(
+            self._ensure_inproc(), partial(self._inproc_solve, request, trace)
+        )
 
     def _abandon_record(self, request: _Request, where: str) -> Dict[str, Any]:
         return {
@@ -570,7 +501,8 @@ class SynthesisServer:
         self.admission.observe_service(float(record.get("elapsed_s") or 0.0))
         self.stats.absorb_record(record)
         if self._results_stream is not None:
-            _emit(self._results_stream, record)
+            self._results_stream.write(frame(record))
+            self._results_stream.flush()
         if not request.done.done():
             request.done.set_result(record)
         for path in (request.path, request.journal_path):
@@ -586,7 +518,7 @@ class SynthesisServer:
     def _stuck_requests(self, now: float) -> List[_Request]:
         stuck = []
         for request in self._running.values():
-            if request.lane != "pool" or request.attempt_started_at is None:
+            if request.lane != "pool" or request.solve is None:
                 continue
             bound: Optional[float] = None
             if request.deadline_s is not None:
@@ -594,7 +526,7 @@ class SynthesisServer:
             if self.config.max_solve_s is not None:
                 cap = self.config.max_solve_s + self.config.stuck_grace_s
                 bound = cap if bound is None else min(bound, cap)
-            if bound is not None and now - request.attempt_started_at > bound:
+            if bound is not None and now - request.solve.dispatched_at > bound:
                 stuck.append(request)
         return stuck
 
@@ -614,7 +546,7 @@ class SynthesisServer:
             stuck = self._stuck_requests(time.monotonic())
             if stuck:
                 self.stats.watchdog_kills += 1
-                self._kill_pool_workers()
+                self._workers.kill_workers()
 
     # ------------------------------------------------------------------
     # HTTP surface
